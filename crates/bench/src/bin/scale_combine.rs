@@ -7,7 +7,9 @@
 //! knob setting the group-by cardinality. On low-cardinality group-bys
 //! the combiner folds nearly every emitted pair before it travels the
 //! shuffle — spill bytes collapse — while near-distinct keys leave it
-//! nothing to fold (the regime `scale_shuffle` measures). Every
+//! nothing to fold (the regime `scale_shuffle` measures) — there map
+//! attempts bypass the combiner once their first judged staging fold
+//! shows it, and the `Bypassed` column counts those attempts. Every
 //! combined run's output is asserted byte-identical to its
 //! combiner-free twin.
 
@@ -24,7 +26,8 @@ fn main() {
          Rows sweep the number of distinct sourceIPs and the shuffle\n\
          budget; each row runs the spill pipeline with combining off,\n\
          then on. Outputs are asserted identical; `combine in→out` is\n\
-         the folding the three combine sites did.",
+         the folding the three combine sites did; `bypassed` counts map\n\
+         attempts that stopped folding because folding did not shrink.",
     );
     let dir = bench::bench_dir("scale-combine");
     let visits = bench::scaled(60_000);
@@ -113,6 +116,7 @@ fn main() {
                     "{}→{}",
                     combined.counters.combine_in, combined.counters.combine_out
                 ),
+                combined.counters.combine_bypassed.to_string(),
                 bench::fmt_secs(plain_time),
                 bench::fmt_secs(combined_time),
             ]);
@@ -149,6 +153,10 @@ fn main() {
                     "combine_out",
                     Json::Int(combined.counters.combine_out as i64),
                 ),
+                (
+                    "combine_bypassed",
+                    Json::Int(combined.counters.combine_bypassed as i64),
+                ),
                 ("plain_secs", bench::json_secs(plain_time)),
                 ("combined_secs", bench::json_secs(combined_time)),
             ]));
@@ -164,6 +172,7 @@ fn main() {
             "Spill (combined)",
             "Reduction",
             "Combine in→out",
+            "Bypassed",
             "Plain",
             "Combined",
         ],

@@ -23,7 +23,7 @@ use mr_analysis::expr::Expr;
 use mr_analysis::{AnalysisReport, SelectOutcome};
 use mr_engine::mapper::{MapStats, Mapper, MapperFactory};
 use mr_engine::{run_job, InputBinding, InputSpec, JobConfig, OutputSpec};
-use mr_ir::record::Record;
+use mr_ir::record::{FieldMap, Record};
 use mr_ir::value::Value;
 use mr_storage::btree::BTreeWriter;
 use mr_storage::delta::DeltaFileWriter;
@@ -373,12 +373,12 @@ impl IndexGenProgram {
             None => Arc::clone(&meta.schema),
         };
         let mut writer = DeltaFileWriter::create(&self.output, Arc::clone(&schema), fields)?;
+        let narrow = projected.map(|_| FieldMap::new(&meta.schema, Arc::clone(&schema)));
         for rec in meta.read_all()? {
             let rec = rec?;
-            let stored = if projected.is_some() {
-                rec.project_to(Arc::clone(&schema))
-            } else {
-                rec
+            let stored = match &narrow {
+                Some(map) => map.apply(rec),
+                None => rec,
             };
             writer.append(&stored)?;
         }

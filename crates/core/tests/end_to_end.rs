@@ -8,8 +8,14 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use manimal::{Builtin, Manimal};
+use mr_engine::{InputSpec, JobConfig};
+use mr_ir::asm::parse_function;
+use mr_ir::interp::Interpreter;
+use mr_ir::{Program, SideEffectKind, Value};
+use mr_storage::colfile::write_projected;
+use mr_storage::seqfile::SeqFileMeta;
 use mr_workloads::data::{
-    generate_uservisits, generate_webpages, UserVisitsConfig, WebPagesConfig,
+    generate_uservisits, generate_webpages, webpages_schema, UserVisitsConfig, WebPagesConfig,
 };
 use mr_workloads::queries::{
     duration_sum_query, projection_query, selection_query, threshold_for_selectivity,
@@ -336,4 +342,96 @@ fn catalog_survives_reopen() {
     let submission = manimal.submit(&program, &input);
     let plan = manimal.plan(&submission).unwrap();
     assert!(plan.applied.iter().any(|a| a.contains("selection")));
+}
+
+/// `findProject` optimizes reads that only feed a log message away, so
+/// a field read just for a log is dropped from the projected layout.
+/// The mapper still runs that read on the projected and the
+/// projected+delta inputs; it must see the field's type default there,
+/// and both inputs must still give the full scan's output.
+#[test]
+fn dropped_field_read_only_for_a_log_reads_as_its_default() {
+    let dir = tmpdir("dropped-log");
+    let input = small_webpages(&dir);
+    let mapper = parse_function(
+        r#"
+        func map(key, value) {
+          r0 = param value
+          r1 = field r0.content
+          effect log(r1)
+          r2 = field r0.url
+          r3 = field r0.rank
+          emit r2, r3
+          ret
+        }
+        "#,
+    )
+    .unwrap();
+    let schema = webpages_schema();
+    let program = Program::new("log-dropped-field", mapper.clone(), Arc::clone(&schema));
+    let manimal = Manimal::new(dir.join("work")).unwrap();
+    let submission = manimal.submit(&program, &input);
+    let projection = submission
+        .report
+        .projection
+        .descriptor()
+        .expect("a field read only for a log is droppable");
+    assert_eq!(projection.dropped_fields, vec!["content".to_string()]);
+
+    // The projected+delta input comes from the optimizer's plan, the
+    // projected-only one from the same projection written directly.
+    manimal.build_indexes(&submission).unwrap();
+    let plan = manimal.plan(&submission).unwrap();
+    assert!(
+        matches!(
+            plan.input,
+            InputSpec::Delta {
+                widen_to: Some(_),
+                ..
+            }
+        ),
+        "{:?}",
+        plan.applied
+    );
+    let projected = dir.join("projected.seq");
+    let records = SeqFileMeta::open(&input)
+        .unwrap()
+        .read_all()
+        .unwrap()
+        .map(Result::unwrap);
+    write_projected(&projected, &schema, &projection.used_fields, records).unwrap();
+    let inputs = [
+        ("projected+delta", plan.input),
+        (
+            "projected",
+            InputSpec::Projected {
+                path: projected,
+                source_schema: Arc::clone(&schema),
+            },
+        ),
+    ];
+
+    let job = |input: InputSpec| {
+        let j = JobConfig::ir_job("log", input, mapper.clone(), Builtin::Identity);
+        mr_engine::run_job(&j).unwrap().output
+    };
+    let full_scan = job(InputSpec::SeqFile { path: input });
+    for (kind, input) in inputs {
+        let mut interp = Interpreter::new(&mapper);
+        let mut records = 0;
+        for split in input.open(2).unwrap() {
+            for item in split {
+                let (k, v) = item.unwrap();
+                let out = interp.invoke_map(&mapper, &k, &v).unwrap();
+                assert_eq!(
+                    out.effects,
+                    vec![(SideEffectKind::Log, vec![Value::str("")])],
+                    "{kind}"
+                );
+                records += 1;
+            }
+        }
+        assert_eq!(records, 3000, "{kind}");
+        assert_eq!(job(input), full_scan, "{kind}");
+    }
 }

@@ -317,7 +317,7 @@ fn map_attempt_loop(
     }
     // Final fold + spill-everything: with no resident tail to hand
     // back, whatever is staged becomes the attempt's last runs.
-    staging.fold(combine, acc)?;
+    staging.fold_rest(combine, acc)?;
     spill_all(
         job,
         combine,
@@ -368,7 +368,7 @@ fn spill_all(
             p,
             *seq,
             &mut pairs,
-            combine,
+            &staging.spill_combine(combine),
             job.compression,
             dict,
             acc,

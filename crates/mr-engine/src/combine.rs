@@ -35,11 +35,29 @@
 //!    grouping loop as always, but the "reducer" folds them with
 //!    *merge* and emits via *finish*.
 //!
+//! **Adaptive bypass.** Folding only pays when keys repeat: on
+//! near-distinct keys every fold sorts and re-sorts the staged pairs to
+//! remove almost none of them. A map attempt therefore judges the
+//! combiner on its first capped staging fold that saw at least
+//! [`BYPASS_MIN_SAMPLE`] pairs (smaller windows fold little even on
+//! repetitive keys). If that fold kept more than half of the pairs, the
+//! attempt *bypasses* for its remaining records: its staging folds and
+//! its spill-time folds stop, and it only injects each raw value into
+//! the partial domain. Every pair still reaches site 3 as a partial, so
+//! the reduce side is unchanged and the output stays byte-identical.
+//! The decision lives in the runner's `Staging`, which both backends'
+//! map loops share; folds over shared buckets at commit time and
+//! compaction rewrites still fold, as they mix partials of many
+//! attempts. Nothing configures the rule; `--no-combine` (no combiner
+//! at all) stays the only switch.
+//!
 //! The `combine_in` / `combine_out` counters record pairs entering and
-//! leaving sites 1 and 2 (plus compaction) — and only those, so
-//! `combine_in - combine_out` is exactly the shuffle traffic the
-//! combiner removed. The reduce-side fold of site 3 removes none and is
-//! deliberately not counted.
+//! leaving sites 1 and 2 (plus compaction) where they actually fold —
+//! and only those, so `combine_in - combine_out` is exactly the shuffle
+//! traffic the combiner removed. The reduce-side fold of site 3 and a
+//! bypassed attempt's inject-only staging remove none and are
+//! deliberately not counted. `combine_bypassed` counts the committed
+//! map attempts that bypassed.
 
 use std::sync::Arc;
 
@@ -73,6 +91,17 @@ pub trait Combiner: Send + Sync {
     fn name(&self) -> &'static str {
         "combiner"
     }
+}
+
+/// Pairs a capped staging fold must have seen before its yield may
+/// decide the bypass.
+pub(crate) const BYPASS_MIN_SAMPLE: usize = 1024;
+
+/// The bypass rule: a staging fold that turned `before` staged pairs
+/// into `after` partials shows folding does not pay when it kept more
+/// than half of them. `None` while the sample is too small to judge.
+pub(crate) fn should_bypass(before: usize, after: usize) -> Option<bool> {
+    (before >= BYPASS_MIN_SAMPLE).then_some(after * 2 > before)
 }
 
 /// Approximate serialized size of one pair — the same estimate the
@@ -144,10 +173,9 @@ impl CombineStrategy {
             return Ok(pairs.iter().map(|(k, v)| pair_bytes(k, v)).sum());
         }
         pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        let folded = fold_sorted(pairs, |k, v| combiner.inject(k, v), combiner.as_ref())?;
         Counters::add(&counters.combine_in, pairs.len() as u64);
-        Counters::add(&counters.combine_out, folded.len() as u64);
-        *pairs = folded;
+        fold_sorted(pairs, |k, v| combiner.inject(k, &v), combiner.as_ref())?;
+        Counters::add(&counters.combine_out, pairs.len() as u64);
         Ok(pairs.iter().map(|(k, v)| pair_bytes(k, v)).sum())
     }
 
@@ -164,10 +192,9 @@ impl CombineStrategy {
         if pairs.len() < 2 {
             return Ok(());
         }
-        let folded = fold_sorted(pairs, |_, v| Ok(v.clone()), combiner.as_ref())?;
         Counters::add(&counters.combine_in, pairs.len() as u64);
-        Counters::add(&counters.combine_out, folded.len() as u64);
-        *pairs = folded;
+        fold_sorted(pairs, |_, v| Ok(v), combiner.as_ref())?;
+        Counters::add(&counters.combine_out, pairs.len() as u64);
         Ok(())
     }
 
@@ -198,26 +225,30 @@ impl std::fmt::Debug for CombineStrategy {
     }
 }
 
-/// Fold a key-sorted buffer: `lift` maps each value into the partial
-/// domain (inject for raw map output, clone for already-partial runs),
-/// and adjacent equal keys merge into one pair.
+/// Fold a key-sorted buffer in place: `lift` maps each value into the
+/// partial domain (inject for raw map output, identity for
+/// already-partial runs), and adjacent equal keys merge into one pair.
+/// On error the buffer is left half-folded; callers abandon it.
 fn fold_sorted(
-    pairs: &[(Value, Value)],
-    lift: impl Fn(&Value, &Value) -> Result<Value>,
+    pairs: &mut Vec<(Value, Value)>,
+    lift: impl Fn(&Value, Value) -> Result<Value>,
     combiner: &dyn Combiner,
-) -> Result<Vec<(Value, Value)>> {
-    let mut folded: Vec<(Value, Value)> = Vec::new();
-    for (k, v) in pairs {
-        let lifted = lift(k, v)?;
-        match folded.last_mut() {
-            Some((fk, acc)) if fk == k => {
-                let prev = std::mem::take(acc);
-                *acc = combiner.merge(k, prev, &lifted)?;
-            }
-            _ => folded.push((k.clone(), lifted)),
+) -> Result<()> {
+    let mut kept = 0;
+    for i in 0..pairs.len() {
+        let (k, v) = std::mem::take(&mut pairs[i]);
+        let lifted = lift(&k, v)?;
+        if kept > 0 && pairs[kept - 1].0 == k {
+            let acc = &mut pairs[kept - 1].1;
+            let prev = std::mem::take(acc);
+            *acc = combiner.merge(&k, prev, &lifted)?;
+        } else {
+            pairs[kept] = (k, lifted);
+            kept += 1;
         }
     }
-    Ok(folded)
+    pairs.truncate(kept);
+    Ok(())
 }
 
 /// The reduce-side half of an active combiner: each key group arriving
@@ -447,6 +478,18 @@ mod tests {
         let snap = counters.snapshot();
         assert_eq!(snap.combine_in, 5);
         assert_eq!(snap.combine_out, 2);
+    }
+
+    #[test]
+    fn bypass_rule_needs_a_sample_and_a_poor_yield() {
+        assert_eq!(
+            should_bypass(BYPASS_MIN_SAMPLE - 1, BYPASS_MIN_SAMPLE - 1),
+            None
+        );
+        assert_eq!(should_bypass(2000, 2000), Some(true));
+        assert_eq!(should_bypass(2000, 1001), Some(true));
+        assert_eq!(should_bypass(2000, 1000), Some(false));
+        assert_eq!(should_bypass(2000, 16), Some(false));
     }
 
     #[test]

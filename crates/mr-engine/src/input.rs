@@ -9,6 +9,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use mr_ir::record::FieldMap;
 use mr_ir::schema::Schema;
 use mr_ir::value::Value;
 use mr_storage::btree::{BTreeIndex, BTreeScanner, ScanBound};
@@ -43,18 +44,19 @@ pub enum InputSpec {
         /// The wide schema the map function declares.
         source_schema: Arc<Schema>,
     },
-    /// Delta-compressed file (sequential; single split). When the file
-    /// was also projected, `widen_to` carries the declared wide schema
-    /// so map sees its full parameter type (dropped fields read as
-    /// defaults the analyzer proved unobserved).
+    /// Delta-compressed file, opened as up to `hint` splits along its
+    /// block boundaries (delta chains restart at every block). When the
+    /// file was also projected, `widen_to` carries the declared wide
+    /// schema so map sees its full parameter type (dropped fields read
+    /// as defaults the analyzer proved unobserved).
     Delta {
         /// The file path.
         path: PathBuf,
         /// Widen records back to this schema, if projected.
         widen_to: Option<Arc<Schema>>,
     },
-    /// Dictionary-compressed file (sequential; map sees integer codes
-    /// in place of compressed strings).
+    /// Dictionary-compressed file, opened as up to `hint` block-aligned
+    /// splits (map sees integer codes in place of compressed strings).
     Dict {
         /// The file path.
         path: PathBuf,
@@ -118,7 +120,7 @@ impl InputSpec {
                     out.push(SplitReader::Widened {
                         reader: meta.read_split_with_faults(&sp, io.cloned())?,
                         next_key: first_record,
-                        target: Arc::clone(source_schema),
+                        map: FieldMap::new(&meta.schema, Arc::clone(source_schema)),
                     });
                     first_record += records;
                 }
@@ -131,7 +133,9 @@ impl InputSpec {
                     out.push(SplitReader::Delta {
                         reader: meta.read_split(off, records)?,
                         next_key: before,
-                        widen_to: widen_to.clone(),
+                        widen: widen_to
+                            .as_ref()
+                            .map(|s| FieldMap::new(meta.schema(), Arc::clone(s))),
                     });
                 }
                 Ok(out)
@@ -192,8 +196,8 @@ pub enum SplitReader {
         reader: SeqFileReader,
         /// Next synthetic record key.
         next_key: u64,
-        /// Wide schema.
-        target: Arc<Schema>,
+        /// File schema → wide schema, built once for the split.
+        map: FieldMap,
     },
     /// Delta-compressed stream.
     Delta {
@@ -201,8 +205,8 @@ pub enum SplitReader {
         reader: DeltaFileReader,
         /// Next synthetic record key.
         next_key: u64,
-        /// Widen records back to this schema, if projected.
-        widen_to: Option<Arc<Schema>>,
+        /// File schema → wide schema, if the file was projected.
+        widen: Option<FieldMap>,
     },
     /// Dictionary-compressed stream.
     Dict {
@@ -251,33 +255,28 @@ impl Iterator for SplitReader {
             SplitReader::Widened {
                 reader,
                 next_key,
-                target,
+                map,
             } => {
                 let rec = reader.next()?;
                 let key = *next_key;
                 *next_key += 1;
                 Some(
-                    rec.map(|r| {
-                        (
-                            Value::Int(key as i64),
-                            Value::from(r.project_to(Arc::clone(target))),
-                        )
-                    })
-                    .map_err(EngineError::from),
+                    rec.map(|r| (Value::Int(key as i64), Value::from(map.apply(r))))
+                        .map_err(EngineError::from),
                 )
             }
             SplitReader::Delta {
                 reader,
                 next_key,
-                widen_to,
+                widen,
             } => {
                 let rec = reader.next()?;
                 let key = *next_key;
                 *next_key += 1;
                 Some(
                     rec.map(|r| {
-                        let r = match widen_to {
-                            Some(s) => r.project_to(Arc::clone(s)),
+                        let r = match widen {
+                            Some(map) => map.apply(r),
                             None => r,
                         };
                         (Value::Int(key as i64), Value::from(r))

@@ -69,7 +69,7 @@ use mr_storage::runfile::RunFileReader;
 use parking_lot::Mutex as PlMutex;
 
 use crate::allocstats;
-use crate::combine::{pair_bytes, CombineStrategy};
+use crate::combine::{pair_bytes, should_bypass, CombineStrategy, Combiner};
 use crate::counters::Counters;
 use crate::dictctx::DictContext;
 use crate::error::{EngineError, Result};
@@ -342,7 +342,7 @@ fn map_attempt_loop(
     }
     // Final fold: everything left resident enters commit in partial
     // domain, exactly as the old staging flush guaranteed.
-    staging.fold(ctx.combine, acc)?;
+    staging.fold_rest(ctx.combine, acc)?;
 
     Counters::add(&acc.map_input_records, records);
     Counters::add(&acc.map_invocations, records);
@@ -361,6 +361,11 @@ fn map_attempt_loop(
 /// aggregates whose inject is not idempotent (Count lifts any value to
 /// 1). [`fold`](Staging::fold) injects only the raw tail, then
 /// merge-folds it into the partials.
+///
+/// Staging also owns the attempt's adaptive-combining decision (see
+/// [`crate::combine`]): once a capped fold shows folding does not pay,
+/// folds only inject, and [`spill_combine`](Staging::spill_combine)
+/// turns the spill-time fold off.
 pub(crate) struct Staging {
     /// Unfolded emissions since the last fold, per partition.
     raw: Vec<Vec<(Value, Value)>>,
@@ -370,6 +375,9 @@ pub(crate) struct Staging {
     partial_bytes: Vec<usize>,
     /// Total staged bytes across both buffers and all partitions.
     pub(crate) total_bytes: usize,
+    /// `None` until a capped fold has seen enough pairs to judge the
+    /// combiner; then whether this attempt bypasses it.
+    bypass: Option<bool>,
 }
 
 impl Staging {
@@ -385,6 +393,7 @@ impl Staging {
             partials: (0..num_reducers).map(|_| pool.get_pairs()).collect(),
             partial_bytes: vec![0; num_reducers],
             total_bytes: 0,
+            bypass: None,
         }
     }
 
@@ -394,23 +403,86 @@ impl Staging {
         self.total_bytes += bytes;
     }
 
-    /// Combine site 1: inject-fold each partition's raw tail and merge
-    /// it into the partials. A pass-through without a combiner.
+    /// Combine site 1 at the staging cap: fold like
+    /// [`fold_rest`](Staging::fold_rest), and let the first fold that
+    /// saw enough pairs decide whether the rest of the attempt bypasses
+    /// the combiner.
     pub(crate) fn fold(&mut self, combine: &CombineStrategy, acc: &Counters) -> Result<()> {
-        if !combine.is_active() {
-            return Ok(());
+        if self.bypass.is_some() || !combine.is_active() {
+            return self.fold_rest(combine, acc);
         }
+        let before = self.pairs();
+        self.fold_all(combine, acc)?;
+        self.bypass = should_bypass(before, self.pairs());
+        if self.bypass == Some(true) {
+            Counters::add(&acc.combine_bypassed, 1);
+        }
+        Ok(())
+    }
+
+    /// Combine site 1 without a decision — the attempt's final fold:
+    /// inject-fold each partition's raw tail and merge it into the
+    /// partials, or only inject it once the attempt bypasses. A
+    /// pass-through without a combiner.
+    pub(crate) fn fold_rest(&mut self, combine: &CombineStrategy, acc: &Counters) -> Result<()> {
+        match (combine.active(), self.bypass) {
+            (None, _) => Ok(()),
+            (Some(c), Some(true)) => self.inject_raw(c),
+            (Some(_), _) => self.fold_all(combine, acc),
+        }
+    }
+
+    /// The strategy the spill-time fold of this staging's buffers runs:
+    /// the pass-through once the attempt bypasses the combiner.
+    pub(crate) fn spill_combine(&self, combine: &CombineStrategy) -> CombineStrategy {
+        match self.bypass {
+            Some(true) => CombineStrategy::passthrough(),
+            _ => combine.clone(),
+        }
+    }
+
+    /// Pairs staged across both buffers and all partitions.
+    fn pairs(&self) -> usize {
+        self.raw.iter().chain(&self.partials).map(Vec::len).sum()
+    }
+
+    /// The bypassed attempt's fold: lift each raw value into the
+    /// partial domain in place (no sort, no merge, no combine
+    /// counters) and move it to the partials.
+    fn inject_raw(&mut self, combiner: &dyn Combiner) -> Result<()> {
+        for p in 0..self.raw.len() {
+            let mut bytes = 0;
+            for (k, v) in self.raw[p].iter_mut() {
+                *v = combiner.inject(k, v)?;
+                bytes += pair_bytes(k, v);
+            }
+            self.raw_bytes[p] = 0;
+            self.partial_bytes[p] += bytes;
+            if self.partials[p].is_empty() {
+                std::mem::swap(&mut self.raw[p], &mut self.partials[p]);
+            } else {
+                self.partials[p].append(&mut self.raw[p]);
+            }
+        }
+        self.total_bytes = self.partial_bytes.iter().sum();
+        Ok(())
+    }
+
+    /// Fold every partition's raw tail into its partials.
+    fn fold_all(&mut self, combine: &CombineStrategy, acc: &Counters) -> Result<()> {
         for p in 0..self.raw.len() {
             if self.raw[p].is_empty() {
                 continue;
             }
-            let mut chunk = std::mem::take(&mut self.raw[p]);
-            combine.combine_staged(&mut chunk, self.raw_bytes[p], acc)?;
+            let folded_bytes = combine.combine_staged(&mut self.raw[p], self.raw_bytes[p], acc)?;
             self.raw_bytes[p] = 0;
-            self.partials[p].append(&mut chunk);
-            // Restore the drained (pooled) buffer so the slot keeps its
-            // warmed-up capacity instead of reallocating from zero.
-            self.raw[p] = chunk;
+            if self.partials[p].is_empty() {
+                // The folded tail already is one sorted partial per key.
+                std::mem::swap(&mut self.raw[p], &mut self.partials[p]);
+                self.partial_bytes[p] = folded_bytes;
+                continue;
+            }
+            self.partials[p].append(&mut self.raw[p]);
             // Both halves are sorted partials now; a stable sort plus a
             // merge-only fold collapses them to one partial per key.
             self.partials[p].sort_by(|a, b| a.0.cmp(&b.0));
@@ -507,7 +579,6 @@ fn spill_staging(
             *writer = Some(SpillWriter::new(
                 SpillWriterCfg {
                     dir: dir.path().to_path_buf(),
-                    combine: ctx.combine.clone(),
                     compression: ctx.compression,
                     dict: ctx.dict.map(Arc::clone),
                     counters: Arc::clone(acc),
@@ -518,10 +589,11 @@ fn spill_staging(
                 ctx.writer_threads,
             ));
         }
-        writer
-            .as_mut()
-            .expect("writer installed above")
-            .submit(p, pairs)?;
+        writer.as_mut().expect("writer installed above").submit(
+            p,
+            pairs,
+            staging.spill_combine(ctx.combine),
+        )?;
     }
     Ok(())
 }

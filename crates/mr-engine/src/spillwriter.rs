@@ -51,8 +51,6 @@ use crate::spill::{write_sorted_run, SpillRun};
 pub struct SpillWriterCfg {
     /// Attempt directory the runs are written into.
     pub dir: PathBuf,
-    /// Spill-time combine site.
-    pub combine: CombineStrategy,
     /// Shuffle codec for the run files.
     pub compression: ShuffleCompression,
     /// Shared-dictionary authority, required when `compression` is the
@@ -73,6 +71,9 @@ struct SpillJob {
     partition: usize,
     seq: usize,
     pairs: Vec<(Value, Value)>,
+    /// Spill-time combine site: the attempt's strategy, or the
+    /// pass-through once its staging has bypassed the combiner.
+    combine: CombineStrategy,
 }
 
 #[derive(Default)]
@@ -90,6 +91,7 @@ fn write_one(cfg: &SpillWriterCfg, job: SpillJob, shared: &WriterShared) {
         partition,
         seq,
         mut pairs,
+        combine,
     } = job;
     if !shared.failed.load(Ordering::Relaxed) {
         let t = Instant::now();
@@ -98,7 +100,7 @@ fn write_one(cfg: &SpillWriterCfg, job: SpillJob, shared: &WriterShared) {
             partition,
             seq,
             &mut pairs,
-            &cfg.combine,
+            &combine,
             cfg.compression,
             cfg.dict.as_deref(),
             &cfg.counters,
@@ -172,7 +174,8 @@ impl SpillWriter {
         writer
     }
 
-    /// Queue one detached staging buffer for partition `p`. Blocks only
+    /// Queue one detached staging buffer for partition `p`, to be
+    /// folded through `combine` after its sort. Blocks only
     /// when every writer thread is busy *and* the queue is full — the
     /// double-buffer handoff. The buffer's run sequence is claimed
     /// here, so submission order decides merge order no matter when the
@@ -181,13 +184,19 @@ impl SpillWriter {
     /// After a write error the pipeline goes inert: buffers are
     /// recycled unwritten and an error comes back immediately; the root
     /// cause is what [`finish`](Self::finish) returns.
-    pub fn submit(&mut self, partition: usize, pairs: Vec<(Value, Value)>) -> Result<()> {
+    pub fn submit(
+        &mut self,
+        partition: usize,
+        pairs: Vec<(Value, Value)>,
+        combine: CombineStrategy,
+    ) -> Result<()> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let job = SpillJob {
             partition,
             seq,
             pairs,
+            combine,
         };
         if self.shared.failed.load(Ordering::Relaxed) {
             self.cfg.pool.put_pairs(job.pairs);
@@ -257,7 +266,6 @@ mod tests {
     fn cfg(dir: &SpillDir, pool: &Arc<BufferPool>, io: Option<Arc<IoFaults>>) -> SpillWriterCfg {
         SpillWriterCfg {
             dir: dir.path().to_path_buf(),
-            combine: CombineStrategy::passthrough(),
             compression: ShuffleCompression::None,
             dict: None,
             counters: Counters::new(),
@@ -279,9 +287,16 @@ mod tests {
         let c = cfg(&dir, &pool, None);
         let counters = Arc::clone(&c.counters);
         let mut w = SpillWriter::new(c, threads);
-        w.submit(0, buf(&pool, &[(3, 30), (1, 10)])).unwrap();
-        w.submit(1, buf(&pool, &[(2, 20)])).unwrap();
-        w.submit(0, buf(&pool, &[(1, 11)])).unwrap();
+        w.submit(
+            0,
+            buf(&pool, &[(3, 30), (1, 10)]),
+            CombineStrategy::passthrough(),
+        )
+        .unwrap();
+        w.submit(1, buf(&pool, &[(2, 20)]), CombineStrategy::passthrough())
+            .unwrap();
+        w.submit(0, buf(&pool, &[(1, 11)]), CombineStrategy::passthrough())
+            .unwrap();
         let runs = w.finish().unwrap();
         assert_eq!(pool.outstanding(), 0, "all buffers recycled");
         assert_eq!(counters.snapshot().spill_count, 3);
@@ -316,10 +331,11 @@ mod tests {
         // Fail the very first pair append in the background.
         let io = Arc::new(IoFaults::new().with_fault(IoSite::RunWrite, 0));
         let mut w = SpillWriter::new(cfg(&dir, &pool, Some(io)), 1);
-        w.submit(0, buf(&pool, &[(1, 1)])).unwrap();
+        w.submit(0, buf(&pool, &[(1, 1)]), CombineStrategy::passthrough())
+            .unwrap();
         // Later submissions either race in before the failure is seen
         // (recycled unwritten) or fail fast here; both keep accounting.
-        let _ = w.submit(0, buf(&pool, &[(2, 2)]));
+        let _ = w.submit(0, buf(&pool, &[(2, 2)]), CombineStrategy::passthrough());
         let err = w.finish().unwrap_err();
         assert!(matches!(err, EngineError::Storage(_)), "{err}");
         assert_eq!(pool.outstanding(), 0, "fault path leaks nothing");
@@ -331,7 +347,8 @@ mod tests {
         let pool = BufferPool::new();
         let mut w = SpillWriter::new(cfg(&dir, &pool, None), 2);
         for i in 0..6 {
-            w.submit(0, buf(&pool, &[(i, i)])).unwrap();
+            w.submit(0, buf(&pool, &[(i, i)]), CombineStrategy::passthrough())
+                .unwrap();
         }
         drop(w);
         assert_eq!(pool.outstanding(), 0);

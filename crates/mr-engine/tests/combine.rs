@@ -1,18 +1,21 @@
 //! The map-side combining contract: with a combiner plugged in, a job —
 //! spilling or not — produces output byte-identical to the combiner-free
 //! run, while the spill counters collapse on low-cardinality group-bys
-//! and `combine_in > combine_out` proves pairs were folded.
+//! and `combine_in > combine_out` proves pairs were folded. On
+//! near-distinct keys map attempts bypass the combiner, on both
+//! backends, without changing the output.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use mr_engine::{run_job, Builtin, InputSpec, JobConfig, JobResult};
+use mr_engine::{run_job, BackendSpec, Builtin, InputSpec, JobConfig, JobResult, ProcessCfg};
 use mr_ir::asm::parse_function;
 use mr_ir::record::{record, Record};
 use mr_ir::schema::{FieldType, Schema};
 use mr_ir::value::Value;
+use mr_storage::rowcodec::encode_value;
 use mr_storage::seqfile::write_seqfile;
 
 fn tmp(name: &str) -> PathBuf {
@@ -54,6 +57,16 @@ fn write_pairs(name: &str, pairs: &[(String, i64)]) -> PathBuf {
 }
 
 fn run(path: &Path, reducer: Builtin, budget: Option<usize>, combining: bool) -> JobResult {
+    run_on(path, reducer, budget, combining, BackendSpec::Local)
+}
+
+fn run_on(
+    path: &Path,
+    reducer: Builtin,
+    budget: Option<usize>,
+    combining: bool,
+    backend: BackendSpec,
+) -> JobResult {
     let mut j = JobConfig::ir_job(
         "combine-contract",
         InputSpec::SeqFile {
@@ -67,13 +80,121 @@ fn run(path: &Path, reducer: Builtin, budget: Option<usize>, combining: bool) ->
     // enough to hold many pairs — the regime combiners exist for (a
     // share of a few bytes flushes pairs one at a time and leaves
     // nothing to fold).
-    .with_parallelism(2);
+    .with_parallelism(2)
+    .with_backend(backend);
     j.shuffle_buffer_bytes = budget;
     if combining {
         j = j.with_declared_combiner();
         assert!(j.combiner.is_some(), "{reducer:?} declares a combiner");
     }
     run_job(&j).unwrap()
+}
+
+/// Both execution backends; the process one runs the dedicated worker
+/// binary (the default re-exec would re-run this test executable).
+fn backends() -> [BackendSpec; 2] {
+    [
+        BackendSpec::Local,
+        BackendSpec::Process(ProcessCfg {
+            workers: 2,
+            worker_cmd: Some(vec![env!("CARGO_BIN_EXE_mr_worker").to_string()]),
+            speculate: false,
+        }),
+    ]
+}
+
+/// Output pairs in the storage row encoding, so equal-comparing values
+/// of different kinds (`Int(2)` vs `Double(2.0)`) still differ.
+fn output_bytes(r: &JobResult) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (k, v) in &r.output {
+        encode_value(k, &mut out).unwrap();
+        encode_value(v, &mut out).unwrap();
+    }
+    out
+}
+
+/// Budget of the bypass tests: a 64 KiB staging share per map worker
+/// holds ~3,000 pairs, so the first capped fold sees enough pairs to
+/// judge the combiner.
+const BYPASS_BUDGET: usize = 256 << 10;
+
+/// Run `pairs` plain and combined on both backends; return the combined
+/// runs after checking each against the plain run of its backend.
+fn plain_vs_combined(name: &str, pairs: &[(String, i64)], reducer: Builtin) -> Vec<JobResult> {
+    let path = write_pairs(name, pairs);
+    backends()
+        .into_iter()
+        .map(|backend| {
+            let plain = run_on(&path, reducer, Some(BYPASS_BUDGET), false, backend.clone());
+            let combined = run_on(&path, reducer, Some(BYPASS_BUDGET), true, backend.clone());
+            assert_eq!(
+                output_bytes(&plain),
+                output_bytes(&combined),
+                "{reducer:?} on {backend:?}"
+            );
+            assert!(
+                combined.counters.spilled_records <= plain.counters.spilled_records,
+                "{reducer:?} on {backend:?}: spilled {} vs {}",
+                combined.counters.spilled_records,
+                plain.counters.spilled_records
+            );
+            assert_eq!(plain.counters.combine_bypassed, 0);
+            combined
+        })
+        .collect()
+}
+
+/// Near-distinct keys: each map attempt's first judged fold keeps
+/// nearly every pair, so both attempts stop folding, and the output is
+/// still byte-identical to the combiner-free run.
+#[test]
+fn near_distinct_sum_bypasses_the_combiner() {
+    let pairs: Vec<(String, i64)> = (0..20_000)
+        .map(|i| (format!("ip-{}", i % 15_000), i % 101))
+        .collect();
+    for combined in plain_vs_combined("distinct-sum", &pairs, Builtin::Sum) {
+        let c = combined.counters;
+        assert_eq!(c.combine_bypassed, 2, "both map attempts bypass");
+        // Only the judging folds and the shared-bucket spills folded;
+        // always-on folding counts every pair at least twice.
+        assert!(
+            c.combine_in < c.map_output_records,
+            "combine_in {} of {} pairs",
+            c.combine_in,
+            c.map_output_records
+        );
+    }
+}
+
+/// Count's `inject` maps every value to 1, so a bypassed attempt that
+/// failed to inject its pairs would sum raw values instead of counting.
+#[test]
+fn near_distinct_count_bypasses_and_still_injects() {
+    let pairs: Vec<(String, i64)> = (0..20_000)
+        .map(|i| (format!("ip-{}", i % 15_000), 7 + i % 101))
+        .collect();
+    for combined in plain_vs_combined("distinct-count", &pairs, Builtin::Count) {
+        assert_eq!(combined.counters.combine_bypassed, 2);
+        assert!(combined
+            .output
+            .iter()
+            .all(|(_, n)| matches!(n, Value::Int(1 | 2))));
+    }
+}
+
+/// 400 keys repeat within every staging window: folding pays, so no
+/// attempt bypasses and the combine counters show the folding.
+#[test]
+fn four_hundred_keys_never_bypass() {
+    let pairs: Vec<(String, i64)> = (0..20_000)
+        .map(|i| (format!("ip-{}", (i * 7) % 400), i % 101))
+        .collect();
+    for combined in plain_vs_combined("grouped-sum", &pairs, Builtin::Sum) {
+        let c = combined.counters;
+        assert_eq!(c.combine_bypassed, 0);
+        assert!(2 * c.combine_out < c.combine_in, "{c:?}");
+    }
 }
 
 /// The acceptance-criteria test: a low-cardinality group-by forced

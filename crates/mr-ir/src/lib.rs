@@ -38,6 +38,6 @@ pub mod verify;
 pub use error::IrError;
 pub use function::{Function, Program};
 pub use instr::{BinOp, CmpOp, Instr, ParamId, Reg, SideEffectKind};
-pub use record::{record, Record, RecordError};
+pub use record::{record, FieldMap, Record, RecordError};
 pub use schema::{FieldDef, FieldType, Schema};
 pub use value::Value;

@@ -78,24 +78,17 @@ impl Record {
         self.values.get(idx)
     }
 
+    /// Consume the record, returning its values in schema order.
+    pub fn into_values(self) -> Vec<Value> {
+        self.values
+    }
+
     /// Project this record onto the fields of `target` (which must be a
     /// sub-schema produced by [`Schema::project`]). Fields absent from
-    /// this record's schema get their type's default value.
+    /// this record's schema get their type's default value. For a
+    /// stream of records, build one [`FieldMap`] instead.
     pub fn project_to(&self, target: Arc<Schema>) -> Record {
-        let values = target
-            .fields()
-            .iter()
-            .map(|fd| {
-                self.schema
-                    .index_of(&fd.name)
-                    .map(|i| self.values[i].clone())
-                    .unwrap_or_else(|| fd.ty.default_value())
-            })
-            .collect();
-        Record {
-            schema: target,
-            values,
-        }
+        FieldMap::new(&self.schema, target).apply(self.clone())
     }
 
     /// Approximate in-memory payload size; used by engine counters.
@@ -114,6 +107,74 @@ impl fmt::Display for Record {
             write!(f, "{}: {}", fd.name, v)?;
         }
         write!(f, "}}")
+    }
+}
+
+/// A precomputed rewrite of records from one schema to another, built
+/// once per input split and applied to every record. Each target field
+/// either moves a source value or clones a cached type default — for
+/// strings and byte arrays only a refcount bump — so widening a record
+/// costs no field-name lookups and no per-field allocation.
+///
+/// Fields of the target that the source lacks read as their type's
+/// default, exactly as [`Record::project_to`] fills them; source fields
+/// the target lacks are dropped.
+#[derive(Debug, Clone)]
+pub struct FieldMap {
+    target: Arc<Schema>,
+    source_len: usize,
+    slots: Vec<Slot>,
+}
+
+#[derive(Debug, Clone)]
+enum Slot {
+    /// Move the source value at this index.
+    Move(usize),
+    /// Clone this cached default (the source has no such field).
+    Default(Value),
+}
+
+impl FieldMap {
+    /// Map records of `source` onto `target`, matching fields by name.
+    pub fn new(source: &Schema, target: Arc<Schema>) -> FieldMap {
+        let slots = target
+            .fields()
+            .iter()
+            .map(|fd| match source.index_of(&fd.name) {
+                Some(i) => Slot::Move(i),
+                None => Slot::Default(fd.ty.default_value()),
+            })
+            .collect();
+        FieldMap {
+            target,
+            source_len: source.len(),
+            slots,
+        }
+    }
+
+    /// Rewrite one record of the source schema.
+    pub fn apply(&self, record: Record) -> Record {
+        self.apply_values(record.values)
+    }
+
+    /// Rewrite one record given as its values in source-schema order.
+    ///
+    /// # Panics
+    /// Panics if `values` does not have the source schema's arity.
+    pub fn apply_values(&self, mut values: Vec<Value>) -> Record {
+        assert_eq!(values.len(), self.source_len, "source arity");
+        let values = self
+            .slots
+            .iter()
+            .map(|slot| match slot {
+                Slot::Move(i) => std::mem::take(&mut values[*i]),
+                Slot::Default(v) => v.clone(),
+            })
+            .collect();
+        Record {
+            schema: Arc::clone(&self.target),
+            values,
+        }
     }
 }
 
@@ -171,6 +232,78 @@ mod tests {
         let q = p.project_to(s.clone());
         assert_eq!(q.get("url").unwrap(), &Value::str(""));
         assert_eq!(q.get("rank").unwrap(), &Value::Int(7));
+    }
+
+    fn reordered() -> Arc<Schema> {
+        // The same fields as `webpage`, serialized in another order.
+        Schema::new(
+            "WebPage",
+            vec![
+                ("content", FieldType::Str),
+                ("url", FieldType::Str),
+                ("rank", FieldType::Int),
+            ],
+        )
+        .into_arc()
+    }
+
+    #[test]
+    fn field_map_reorders_fields() {
+        let r = record(
+            &reordered(),
+            vec!["body".into(), "http://a".into(), 7.into()],
+        );
+        let map = FieldMap::new(&reordered(), webpage());
+        let w = map.apply(r.clone());
+        assert_eq!(w.schema(), &webpage());
+        assert_eq!(
+            w.values(),
+            &[Value::str("http://a"), Value::Int(7), Value::str("body")]
+        );
+        assert_eq!(w, r.project_to(webpage()));
+    }
+
+    #[test]
+    fn field_map_defaults_dropped_fields() {
+        let s = webpage();
+        let proj = Arc::new(s.project(&["rank".into()]));
+        let map = FieldMap::new(&proj, Arc::clone(&s));
+        for rank in [3, 9] {
+            let p = record(&proj, vec![Value::Int(rank)]);
+            let w = map.apply(p.clone());
+            assert_eq!(
+                w.values(),
+                &[Value::str(""), Value::Int(rank), Value::str("")]
+            );
+            assert_eq!(w, p.project_to(Arc::clone(&s)));
+        }
+        // The cached default is shared, not reallocated per record.
+        let a = map.apply(record(&proj, vec![1.into()]));
+        let b = map.apply(record(&proj, vec![2.into()]));
+        match (a.get("url").unwrap(), b.get("url").unwrap()) {
+            (Value::Str(x), Value::Str(y)) => assert!(Arc::ptr_eq(x, y)),
+            other => panic!("expected strings, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn field_map_keeping_all_fields_keeps_every_value() {
+        let s = webpage();
+        let renamed = Schema::new(
+            "Page",
+            s.fields().iter().map(|f| (f.name.as_str(), f.ty)).collect(),
+        )
+        .into_arc();
+        let r = record(&s, vec!["u".into(), 1.into(), "c".into()]);
+        let w = FieldMap::new(&s, Arc::clone(&renamed)).apply(r.clone());
+        assert_eq!(w.schema(), &renamed);
+        assert_eq!(w.values(), r.values());
+    }
+
+    #[test]
+    #[should_panic(expected = "source arity")]
+    fn field_map_rejects_wrong_arity() {
+        FieldMap::new(&webpage(), webpage()).apply_values(vec![Value::Int(1)]);
     }
 
     #[test]

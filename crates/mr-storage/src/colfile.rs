@@ -17,7 +17,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use mr_ir::record::Record;
+use mr_ir::record::{FieldMap, Record};
 use mr_ir::schema::Schema;
 
 use crate::error::Result;
@@ -33,8 +33,9 @@ pub fn write_projected(
 ) -> Result<(u64, Arc<Schema>)> {
     let proj_schema = Arc::new(source_schema.project(fields));
     let mut w = SeqFileWriter::create(path, Arc::clone(&proj_schema))?;
+    let map = FieldMap::new(source_schema, Arc::clone(&proj_schema));
     for r in records {
-        w.append(&r.project_to(Arc::clone(&proj_schema)))?;
+        w.append(&map.apply(r))?;
     }
     let n = w.finish()?;
     Ok((n, proj_schema))
@@ -60,11 +61,11 @@ impl ProjectedFile {
     /// Iterate records widened back to the source schema (dropped fields
     /// become type defaults).
     pub fn read_widened(&self) -> Result<impl Iterator<Item = Result<Record>> + '_> {
-        let source = Arc::clone(&self.source_schema);
+        let map = FieldMap::new(&self.meta.schema, Arc::clone(&self.source_schema));
         Ok(self
             .meta
             .read_all()?
-            .map(move |r| r.map(|rec| rec.project_to(Arc::clone(&source)))))
+            .map(move |r| r.map(|rec| map.apply(rec))))
     }
 }
 

@@ -16,8 +16,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use mr_ir::record::Record;
-use mr_ir::schema::Schema;
+use mr_ir::record::{FieldMap, Record};
+use mr_ir::schema::{FieldType, Schema};
 
 use crate::error::{Result, StorageError};
 use crate::rowcodec::{decode_schema, encode_schema};
@@ -189,6 +189,9 @@ impl ColumnGroups {
     pub fn read_fields(&self, fields: &[String]) -> Result<ColumnGroupReader> {
         let needed = self.groups_for(fields)?;
         let mut readers = Vec::with_capacity(needed.len());
+        // The opened groups' fields, concatenated in read order: one
+        // field map widens a zipped row straight to the full schema.
+        let mut zipped: Vec<(String, FieldType)> = Vec::new();
         for &g in &needed {
             let meta = SeqFileMeta::open(group_path(&self.base, g))?;
             if meta.record_count != self.record_count {
@@ -200,11 +203,16 @@ impl ColumnGroups {
                     ),
                 ));
             }
+            zipped.extend(meta.schema.fields().iter().map(|f| (f.name.clone(), f.ty)));
             readers.push(meta.read_all()?);
         }
+        let zipped = Schema::new(
+            self.schema.name(),
+            zipped.iter().map(|(n, ty)| (n.as_str(), *ty)).collect(),
+        );
         Ok(ColumnGroupReader {
             readers,
-            full_schema: Arc::clone(&self.schema),
+            map: FieldMap::new(&zipped, Arc::clone(&self.schema)),
             remaining: self.record_count,
         })
     }
@@ -213,7 +221,8 @@ impl ColumnGroups {
 /// Zips the needed group files back into (widened) records.
 pub struct ColumnGroupReader {
     readers: Vec<SeqFileReader>,
-    full_schema: Arc<Schema>,
+    /// Concatenated group fields → full schema.
+    map: FieldMap,
     remaining: u64,
 }
 
@@ -224,35 +233,20 @@ impl ColumnGroupReader {
     }
 
     fn read_one(&mut self) -> Result<Option<Record>> {
-        if self.remaining == 0 {
+        if self.remaining == 0 || self.readers.is_empty() {
             return Ok(None);
         }
         self.remaining -= 1;
-        let mut acc: Option<Record> = None;
+        let mut values = Vec::new();
         for r in &mut self.readers {
             let part = r
                 .next()
                 .transpose()?
                 .ok_or_else(|| StorageError::corrupt("colgroups", "group file short"))?;
-            acc = Some(match acc {
-                None => part.project_to(Arc::clone(&self.full_schema)),
-                Some(base) => merge(base, &part),
-            });
+            values.append(&mut part.into_values());
         }
-        Ok(acc)
+        Ok(Some(self.map.apply_values(values)))
     }
-}
-
-/// Overlay `part`'s fields onto `base` (which has the full schema).
-fn merge(base: Record, part: &Record) -> Record {
-    let schema = Arc::clone(base.schema());
-    let mut values: Vec<_> = base.values().to_vec();
-    for (fd, v) in part.schema().fields().iter().zip(part.values()) {
-        if let Some(i) = schema.index_of(&fd.name) {
-            values[i] = v.clone();
-        }
-    }
-    Record::new(schema, values).expect("same arity")
 }
 
 impl Iterator for ColumnGroupReader {
